@@ -704,6 +704,38 @@ void smoke_observer_history(std::vector<SmokeRow>& rows) {
                   0.0, analysis::results_identical(bounded, retained)});
 }
 
+/// Gradient column-kernel probes (analysis/gradient.h), pinned EXACT on the
+/// canonical deg-16 expander, n = 256.  The probe count is a pure function
+/// of the sampled clock values (the kernel's (value, id) sort order is
+/// total), so it is a constant of the code for this spec, like
+/// pdes_epochs.  The naive fold probes every pair at every sample
+/// (reported alongside); a relapse to an O(m^2) scan lands there, far
+/// above the pin.  Any drift, up or down, means the kernel's pruning
+/// changed.
+void smoke_gradient_probes(std::vector<SmokeRow>& rows) {
+  analysis::RunSpec spec;
+  spec.params = core::make_params(256, 85, 1e-5, 0.01, 1e-3, 10.0);
+  spec.rounds = 6;
+  spec.seed = 9;
+  spec.topology.kind = net::TopologyKind::kKRegular;
+  spec.topology.degree = 16;
+  analysis::Experiment experiment(spec);
+  const analysis::RunResult result = experiment.run();
+  const analysis::GradientSeries series = analysis::gradient_series(
+      experiment.simulator(), result.honest, experiment.topology(),
+      result.tmax0 + spec.params.P, result.t_end, spec.params.P / 25.0,
+      /*threads=*/1);
+  std::int64_t pairs = 0;
+  for (const std::int64_t c : series.pair_count) pairs += c;
+  const double naive = static_cast<double>(pairs) *
+                       static_cast<double>(series.times.size());
+  constexpr double kPinnedProbes = 11743.0;
+  const auto probes = static_cast<double>(series.pairs_probed);
+  rows.push_back({"gradient_pairs_probed", probes, kPinnedProbes,
+                  probes == kPinnedProbes});
+  rows.push_back({"gradient_naive_pair_probes", naive, -1.0, true});
+}
+
 /// SIMD-kernel value-exactness gates (proc/reduce_kernels.h).  The sorting
 /// networks and the dual-rank select are pinned BITWISE against std::sort /
 /// std::nth_element on randomized AND tie-heavy inputs — the tie-heavy set
@@ -963,6 +995,7 @@ int run_smoke(const util::Flags& flags) {
   smoke_nic_overflow(rows);
   smoke_observer_counters(rows);
   smoke_observer_history(rows);
+  smoke_gradient_probes(rows);
   smoke_simd_kernels(rows);
   smoke_fastpath_round(rows);
   smoke_pdes_stalls(rows);

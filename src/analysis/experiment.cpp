@@ -163,6 +163,30 @@ const char* pdes_spec_block(const RunSpec& spec) {
 
 }  // namespace
 
+void validate(const RunSpec& spec) {
+  const auto reject = [](const char* field, const std::string& why) {
+    throw std::invalid_argument(std::string("RunSpec.") + field + ": " + why);
+  };
+  if (spec.rounds < 1) {
+    reject("rounds", "must be >= 1, got " + std::to_string(spec.rounds));
+  }
+  // Written so that NaN fails too.
+  if (!(spec.stagger >= 0.0 && spec.stagger <= spec.params.P)) {
+    reject("stagger", "must lie in [0, P = " + std::to_string(spec.params.P) +
+                          "], got " + std::to_string(spec.stagger));
+  }
+  if (spec.fault_count < 0) {
+    reject("fault_count",
+           "must be >= 0, got " + std::to_string(spec.fault_count));
+  }
+  for (const auto& entry : spec.fault_mix) {
+    if (entry.count < 0) {
+      reject("fault_mix.count",
+             "must be >= 0, got " + std::to_string(entry.count));
+    }
+  }
+}
+
 Experiment::Experiment(RunSpec spec) : spec_(std::move(spec)) { build(); }
 Experiment::~Experiment() = default;
 
@@ -175,6 +199,7 @@ const net::Topology& Experiment::topology() {
 }
 
 void Experiment::build() {
+  validate(spec_);
   const core::Params& p = spec_.params;
   if (spec_.mode != RunMode::kMaintenance) {
     throw std::invalid_argument(
@@ -1087,6 +1112,7 @@ ReintegrationResult run_reintegration_impl(const ReintegrationSpec& spec) {
 // ---------------------------------------------------- unified entry point ---
 
 RunResult run(const RunSpec& spec) {
+  validate(spec);
   const auto wall_start = std::chrono::steady_clock::now();
   RunResult result;
   switch (spec.mode) {

@@ -484,6 +484,12 @@ class Experiment {
   double tmax0_ = 0.0;
 };
 
+/// The single validating boundary for specs: run() and the Experiment
+/// constructor call it first.  Throws std::invalid_argument naming the
+/// offending field ("RunSpec.rounds: ...") for rounds < 1, stagger outside
+/// [0, params.P], and a negative fault_count or fault_mix count.
+void validate(const RunSpec& spec);
+
 /// THE experiment entry point: dispatches on RunSpec::mode.
 ///   kMaintenance   — Experiment::run (plus the stabilization measurement
 ///                    when initial_clock_spread > 0);

@@ -10,15 +10,23 @@
 // skew's max / mean / p99 over a sample window, plus a least-squares slope
 // summary — the measurable form of a gradient bound.
 //
-// gradient_series rides the sharded measurement pipeline of
-// analysis/measure.h: local times come from one cursor walk per clock, and
-// the O(m^2) pair-bucketing shards over node pairs across threads.  Every
-// reduction is a max (order-insensitive over doubles), so any thread count
-// produces bit-identical buckets — gradient_at is the naive per-sample
-// reference scan the sharded path is regression-pinned against
-// (tests/gradient_test.cpp, 1e-12).
+// The measurement has two parts, neither of which scans all O(m^2) pairs
+// per sample:
+//   * a hop table (HopTable): every node's hop distance to every other as
+//     n x n uint16, built once per window by a bit-parallel BFS (64 sources
+//     per machine word).  The same pass yields the diameter, rejects a
+//     disconnected graph, and counts the measured pairs per distance;
+//   * a per-sample column kernel (gradient_column): sort the sample's
+//     clock values and visit pairs in decreasing value gap, taking each low
+//     end's first partner per distance bucket and stopping once no
+//     remaining gap can beat any bucket's current max.
+// fl(a - b) == -fl(b - a) and max is order-free, so the kernel is
+// bit-identical to the naive fold gradient_at performs (pinned with == by
+// tests/gradient_test.cpp), and columns shard over threads with any count
+// giving the same cells.
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "net/topology.h"
@@ -50,27 +58,97 @@ struct GradientSeries {
 
   std::int32_t diameter = 0;  ///< of the whole topology (all nodes)
 
+  /// Pair probes the column kernel made over the whole window (telemetry:
+  /// deterministic for fixed inputs, kept out of GradientSummary and
+  /// results_identical).  The naive fold would make pairs x samples.
+  std::uint64_t pairs_probed = 0;
+
   [[nodiscard]] double at(std::size_t distance_index, std::size_t sample) const {
     return skew_by_sample[distance_index * times.size() + sample];
   }
 };
 
+/// All-pairs hop distances of a topology: n x n uint16, row-major and
+/// symmetric (row u holds d(u, v) for every v).  32 MB at n = 4096.
+struct HopTable {
+  std::int32_t n = 0;
+  std::int32_t diameter = 0;
+  std::unique_ptr<std::uint16_t[]> hops;  ///< n * n cells
+  /// pair_count_at[d]: unordered pairs of the measured ids at hop distance
+  /// d (index 0 unused); sized diameter + 1.
+  std::vector<std::int64_t> pair_count_at;
+
+  [[nodiscard]] const std::uint16_t* row(std::int32_t u) const {
+    return hops.get() + static_cast<std::size_t>(u) * static_cast<std::size_t>(n);
+  }
+};
+
+/// Builds the hop table with a multi-source bit-parallel BFS: 64 sources
+/// per uint64_t word, each level expanding only the frontier or, when
+/// cheaper, pulling into only the unfinished nodes.  Blocks of 64 sources
+/// write disjoint cells, so they shard over threads (threads = 0 auto, as
+/// in sample_local_times) with identical output.  Counts the pairs of
+/// `ids` per distance on the way.  Throws std::invalid_argument on a
+/// disconnected topology, an id out of range or repeated, and a diameter
+/// past the uint16 range.
+[[nodiscard]] HopTable build_hop_table(const net::Topology& topo,
+                                       const std::vector<std::int32_t>& ids,
+                                       int threads = 0);
+
 /// The distance-bucket axis shared by the post-hoc scan (gradient_series)
-/// and the streaming observer (analysis/observe.h): the hop distances that
-/// occur between measured pairs, the pair count per bucket, and the
-/// distance -> bucket lookup table.
+/// and the streaming observer (analysis/observe.h): the hop table, the
+/// hop distances that occur between measured pairs, the pair count per
+/// bucket, and the distance -> bucket lookup table.
 struct GradientAxis {
+  HopTable table;
   std::vector<std::int32_t> distances;   ///< ascending, >= 1
   std::vector<std::int64_t> pair_count;  ///< measured-id pairs per bucket
   std::vector<std::int32_t> bucket_of;   ///< distance -> bucket index, -1 = none
-  std::int32_t diameter = 0;             ///< of the whole topology
 };
 
-/// Builds the bucket axis with one O(m^2) integer pass; warms the
-/// topology's BFS distance cache.  Throws std::invalid_argument on a
+/// Builds the bucket axis from one build_hop_table pass; never touches the
+/// topology's own BFS row cache.  Throws std::invalid_argument on a
 /// disconnected topology (cross-component skew has no distance bucket).
 [[nodiscard]] GradientAxis build_gradient_axis(
-    const net::Topology& topo, const std::vector<std::int32_t>& ids);
+    const net::Topology& topo, const std::vector<std::int32_t>& ids,
+    int threads = 0);
+
+/// Working storage of gradient_column, sized once for m ids and a bucket
+/// count so the kernel itself allocates nothing (the streaming observer's
+/// drain is gated allocation-free).
+struct GradientScratch {
+  struct Entry {
+    double value;
+    std::int32_t id;
+  };
+
+  GradientScratch() = default;
+  GradientScratch(std::size_t m, std::size_t buckets);
+
+  std::vector<Entry> order;       ///< the column's non-NaN values, sorted
+  std::vector<double> best;       ///< per-bucket running max
+  std::vector<std::uint32_t> stamp;  ///< bucket -> generation it was last found in
+  std::uint32_t generation = 0;
+};
+
+/// One sample column.  `ids` are the ids `axis` was built from;
+/// values[i * value_stride] is the local time of ids[i]; bucket b's cell
+/// is cells[b * cell_stride].  Folds |L_i - L_j|
+/// of every pair into its distance bucket's cell with max (NaN pairs skip,
+/// as `skew > cell` does in the naive fold), bit-identical to that fold;
+/// cells must start non-NaN (zeros, or an earlier fold's output).
+/// `scratch` must be sized for at least ids.size() ids and the axis's
+/// bucket count.  Sorts the non-NaN values and walks low ends a ascending, and for each,
+/// high ends z descending: the first z found in a bucket is a's best
+/// partner there.  The inner walk stops when the gap drops to the floor
+/// (min over buckets of their best, taken once per a: stale but never
+/// above the true floor, so the result stays exact); the outer walk stops
+/// when max - L_a does.  Returns the number of pairs probed.
+std::uint64_t gradient_column(const GradientAxis& axis,
+                              const std::vector<std::int32_t>& ids,
+                              const double* values, std::size_t value_stride,
+                              double* cells, std::size_t cell_stride,
+                              GradientScratch& scratch);
 
 /// Fills the per-distance window summaries (max / mean / p99 / frontier)
 /// from an already-populated skew_by_sample matrix.  Shared by the
@@ -86,11 +164,11 @@ void finish_gradient_window_summaries(GradientSeries& series,
 /// Buckets every pair of `ids` by hop distance in `topo` and evaluates the
 /// per-bucket max skew at every instant of the grid {t0, t0+dt, ..., t1}
 /// (the same endpoint-closed grid as skew_series).  threads = 0 auto-shards
-/// the pair scan for large workloads and stays serial inside an outer
-/// ParallelRunner sweep; any thread count yields bit-identical values.
-/// Warms the topology's distance cache (so the Topology may be shared
-/// read-only afterwards).  Throws std::invalid_argument on a disconnected
-/// topology (cross-component skew has no distance to bucket by).
+/// the hop table blocks and the sample columns for large workloads and
+/// stays serial inside an outer ParallelRunner sweep; any thread count
+/// yields bit-identical values.  Leaves the topology's BFS row cache cold.
+/// Throws std::invalid_argument on a disconnected topology (cross-component
+/// skew has no distance to bucket by).
 [[nodiscard]] GradientSeries gradient_series(const sim::Simulator& sim,
                                              const std::vector<std::int32_t>& ids,
                                              const net::Topology& topo,

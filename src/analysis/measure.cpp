@@ -6,6 +6,13 @@
 
 namespace wlsync::analysis {
 
+bool shard_measurement(int threads, std::size_t work) {
+  if (threads != 0) return threads > 1;
+  return work >= kMeasureShardThreshold &&
+         std::thread::hardware_concurrency() > 1 &&
+         !ParallelRunner::in_worker();
+}
+
 std::vector<double> sample_times_with_endpoint(double t0, double t1,
                                                double dt) {
   std::vector<double> times;
@@ -40,16 +47,7 @@ LocalTimeGrid sample_local_times(const sim::Simulator& sim,
     }
   };
 
-  bool parallel = threads > 1;
-  if (threads == 0) {
-    // Auto mode: shard big grids — but never from inside an outer
-    // ParallelRunner sweep, where the cores are already claimed by trials
-    // and a nested pool per measurement window would oversubscribe them.
-    parallel = grid.rows >= 2 && grid.rows * grid.cols >= kMeasureShardThreshold &&
-               std::thread::hardware_concurrency() > 1 &&
-               !ParallelRunner::in_worker();
-  }
-  if (parallel) {
+  if (shard_measurement(threads, grid.rows * grid.cols)) {
     // Rows write disjoint slices and walk disjoint clocks, so any worker
     // count and interleaving computes the identical grid.
     ParallelRunner(threads).run_indexed(grid.rows, sample_row);

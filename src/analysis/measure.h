@@ -20,10 +20,17 @@
 namespace wlsync::analysis {
 
 /// Auto-parallel break-even shared by the sharded probes (sample_local_times
-/// here, the pair scan in analysis/gradient.cpp): below this many scalar
-/// evaluations a serial pass wins, and trials running under an outer
-/// ParallelRunner sweep should not spawn inner pools for small windows.
+/// here, the hop table and the column kernel in analysis/gradient.cpp):
+/// below this many units of work a serial pass wins, and trials running
+/// under an outer ParallelRunner sweep should not spawn inner pools for
+/// small windows.
 inline constexpr std::size_t kMeasureShardThreshold = std::size_t{1} << 16;
+
+/// The shard decision of every sharded probe: threads > 1 shards, 1 stays
+/// serial, and 0 (auto) shards when `work` reaches kMeasureShardThreshold
+/// on a multi-core host outside an outer ParallelRunner sweep (whose cores
+/// are already claimed by trials).
+[[nodiscard]] bool shard_measurement(int threads, std::size_t work);
 
 /// The historical sample grids, reproduced accumulation-exactly (t += dt
 /// floating-point walk) so rewired callers measure at the very same

@@ -60,6 +60,7 @@ StreamingObserver::StreamingObserver(sim::Simulator& sim, ObserveSpec spec)
   if (spec_.gradient) {
     axis_ = build_gradient_axis(*spec_.topology, spec_.ids);
     gradient_rows_.assign(axis_.distances.size() * gradient_capacity_, 0.0);
+    gradient_scratch_ = GradientScratch(m, axis_.distances.size());
   }
 
   // An explicit window-open instant bypasses the anchor-round trigger (the
@@ -118,25 +119,12 @@ void StreamingObserver::apply_skew_sample(double t) {
           "StreamingObserver: sample count exceeded the horizon-derived "
           "capacity (ObserveSpec::horizon too small)");
     }
-    // The post-hoc pair scan, one column at a time: fold |L_i - L_j| into
-    // the pair's distance bucket with max (order-insensitive, so this is
-    // bit-identical to the sharded gradient_series matrix).
-    const std::vector<std::int32_t>& ids = spec_.ids;
-    const std::size_t m = ids.size();
-    for (std::size_t i = 0; i + 1 < m; ++i) {
-      const std::vector<std::int32_t>& dist =
-          spec_.topology->distances_from(ids[i]);
-      const double local_i = locals_[i];
-      for (std::size_t j = i + 1; j < m; ++j) {
-        const std::int32_t d = dist[static_cast<std::size_t>(ids[j])];
-        if (d < 1) continue;
-        const std::int32_t b = axis_.bucket_of[static_cast<std::size_t>(d)];
-        double& cell =
-            gradient_rows_[static_cast<std::size_t>(b) * gradient_capacity_ + k];
-        const double pair_skew = std::abs(local_i - locals_[j]);
-        if (pair_skew > cell) cell = pair_skew;
-      }
-    }
+    // The post-hoc column kernel on this one column (bit-identical to the
+    // gradient_series matrix); the scratch was sized at construction.
+    stats_.gradient_pairs_probed +=
+        gradient_column(axis_, spec_.ids, locals_.data(), 1,
+                        gradient_rows_.data() + k, gradient_capacity_,
+                        gradient_scratch_);
   }
 }
 
@@ -331,7 +319,7 @@ StreamingSummary StreamingObserver::finalize(double t_end) {
     GradientSeries series;
     series.distances = std::move(axis_.distances);
     series.pair_count = std::move(axis_.pair_count);
-    series.diameter = axis_.diameter;
+    series.diameter = axis_.table.diameter;
     series.skew_by_sample = std::move(gradient_rows_);
     finish_gradient_window_summaries(series, cols, gradient_capacity_);
     summary.gradient = summarize_gradient(series);

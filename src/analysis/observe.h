@@ -12,8 +12,9 @@
 // instant t is drained as soon as simulated time passes it, at which point
 // every CORR entry and clock segment governing t is final.  Values are
 // bit-identical to the post-hoc pipeline on the same windows (the same
-// Walker cursors, the same fold orders; pinned by tests/observer_test.cpp
-// at 1e-12), so streaming and post-hoc results are interchangeable.
+// Walker cursors, the same fold orders, the same gradient column kernel;
+// pinned bitwise by tests/observer_test.cpp), so streaming and post-hoc
+// results are interchangeable.
 //
 // Three sample streams share the run:
 //   * the skew/gradient grid — opens at the steady-state anchor (the last
@@ -76,7 +77,8 @@ struct ObserveSpec {
   /// Also bucket pairwise skew by hop distance (analysis/gradient.h).
   bool gradient = false;
   /// Exchange graph for the gradient buckets (non-owning; required and
-  /// used only when `gradient`).  Its BFS cache is warmed at construction.
+  /// used only when `gradient`).  Read once at construction to build the
+  /// hop table.
   const net::Topology* topology = nullptr;
   /// Bounded-memory mode: truncate clock/CORR history behind the
   /// observation frontier as the run progresses.
@@ -99,6 +101,8 @@ struct ObserveStats {
   std::uint64_t adjustments = 0;   ///< CORR appends observed
   std::uint64_t round_marks = 0;   ///< measured round-begin boundaries seen
   std::uint64_t nic_drops = 0;     ///< NIC overflow drops observed
+  /// Pair probes of the gradient column kernel (GradientSeries::pairs_probed).
+  std::uint64_t gradient_pairs_probed = 0;
   std::uint64_t truncations = 0;   ///< truncate_history_before calls
   std::uint64_t truncated_entries = 0;  ///< history entries discarded
   std::size_t peak_history_bytes = 0;   ///< high-water retained history
@@ -127,7 +131,8 @@ class StreamingObserver final : public sim::Observer {
 
   /// Preallocates every accumulator (walkers, sample storage, gradient
   /// matrix, histogram) against spec.horizon; with `gradient` set, builds
-  /// the distance-bucket axis (one O(m^2) pass, warms the BFS cache).
+  /// the distance-bucket axis (hop table) and sizes the column kernel's
+  /// scratch.
   /// The simulator must outlive the observer; attach with
   /// sim.set_observer(&observer).
   StreamingObserver(sim::Simulator& sim, ObserveSpec spec);
@@ -210,6 +215,7 @@ class StreamingObserver final : public sim::Observer {
   /// buckets x capacity, bucket-major; column k holds sample k's
   /// per-bucket max |L_i - L_j|.
   std::vector<double> gradient_rows_;
+  GradientScratch gradient_scratch_;
 
   // Validity stream.
   double validity_next_ = kNever;

@@ -1,6 +1,7 @@
 #include "analysis/parallel_runner.h"
 
 #include <algorithm>
+#include <cmath>
 #include <atomic>
 #include <exception>
 #include <mutex>
@@ -124,9 +125,10 @@ double ParallelRunner::estimate_cost(const RunSpec& spec) {
   }
   double cost = per_round * static_cast<double>(std::max(spec.rounds, 1));
   if (spec.measure_gradient) {
-    // The measurement pair scan is O(n^2) per sample, 25 samples/round
-    // over roughly half the run.
-    cost += n * n * 12.5 * static_cast<double>(std::max(spec.rounds, 1));
+    // The hop table costs O(n^2) once; the column kernel sorts n values
+    // per sample, 25 samples/round over roughly half the run.
+    cost += n * n + n * std::log2(n + 1.0) * 12.5 *
+                        static_cast<double>(std::max(spec.rounds, 1));
   }
   return cost + 1.0;
 }

@@ -80,7 +80,7 @@ class ParallelRunner {
       const;
 
   /// Static relative cost prior for one trial (message volume over the
-  /// run, plus the pair-scan term when the gradient is measured).  Units
+  /// run, plus the measurement term when the gradient is measured).  Units
   /// are arbitrary; run_adaptive only uses ratios.
   [[nodiscard]] static double estimate_cost(const RunSpec& spec);
 

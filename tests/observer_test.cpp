@@ -105,10 +105,14 @@ TEST(Observer, StreamedSeriesMatchesExplicitPostHocOnSameWindow) {
 
   const SkewSeries series = skew_series(experiment.simulator(), result.honest,
                                         t0, result.t_end, dt);
-  const GradientSummary gradient = summarize_gradient(
-      gradient_series(experiment.simulator(), result.honest,
-                      experiment.topology(), t0, result.t_end, dt));
+  const GradientSeries posthoc = gradient_series(
+      experiment.simulator(), result.honest, experiment.topology(), t0,
+      result.t_end, dt);
+  const GradientSummary gradient = summarize_gradient(posthoc);
   EXPECT_TRUE(gradient_summaries_identical(result.gradient, gradient));
+  // Both paths run the same column kernel over the same columns.
+  EXPECT_GT(posthoc.pairs_probed, 0u);
+  EXPECT_EQ(result.observe.gradient_pairs_probed, posthoc.pairs_probed);
   EXPECT_EQ(result.gamma_measured, gradient.far_skew());
   EXPECT_EQ(series.max_skew, skew_series(experiment.simulator(), result.honest,
                                          t0, result.t_end, dt)
